@@ -4,9 +4,9 @@
 
 namespace morph::storage {
 
-void SecondaryIndex::Add(const Row& index_key, const Row& pk) {
+void SecondaryIndex::Add(Row index_key, const Row& pk) {
   std::unique_lock lock(mu_);
-  auto& pks = map_[index_key];
+  auto& pks = map_.try_emplace(std::move(index_key)).first->second;
   for (const Row& existing : pks) {
     if (existing == pk) return;
   }
@@ -40,6 +40,11 @@ size_t SecondaryIndex::num_entries() const {
   size_t n = 0;
   for (const auto& [key, pks] : map_) n += pks.size();
   return n;
+}
+
+void SecondaryIndex::Reserve(size_t keys) {
+  std::unique_lock lock(mu_);
+  if (map_.bucket_count() * map_.max_load_factor() < keys) map_.reserve(keys);
 }
 
 void SecondaryIndex::Clear() {

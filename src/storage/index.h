@@ -34,7 +34,8 @@ class SecondaryIndex {
   /// \brief Extracts this index's key from a full row.
   Row KeyOf(const Row& row) const { return row.Project(column_indices_); }
 
-  void Add(const Row& index_key, const Row& pk);
+  /// \brief Adds (index_key, pk) unless present; a new key is moved in.
+  void Add(Row index_key, const Row& pk);
   void Remove(const Row& index_key, const Row& pk);
 
   /// \brief All primary keys with this index key (copy).
@@ -44,6 +45,10 @@ class SecondaryIndex {
   size_t Count(const Row& index_key) const;
 
   size_t num_entries() const;
+
+  /// \brief Presizes the index for `keys` distinct index keys in total;
+  /// absolute and grow-only, like Table::Reserve.
+  void Reserve(size_t keys);
 
   void Clear();
 

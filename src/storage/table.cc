@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
@@ -23,32 +25,45 @@ Table::Table(TableId id, std::string name, Schema schema, size_t num_shards,
       tablets_(shard_mask_ + 1, num_tablets),
       latches_(tablets_.num_tablets()) {}
 
-void Table::IndexAdd(const Record& record, const Row& pk) {
+void Table::IndexAdd(const Row& row, const Row& pk) {
   MORPH_FAILPOINT_VOID("storage.index.add");
   std::unique_lock lock(indexes_mu_);
-  for (auto& idx : indexes_) idx->Add(idx->KeyOf(record.row), pk);
+  for (auto& idx : indexes_) idx->Add(idx->KeyOf(row), pk);
 }
 
-void Table::IndexRemove(const Record& record, const Row& pk) {
+void Table::IndexRemove(const Row& row, const Row& pk) {
   MORPH_FAILPOINT_VOID("storage.index.remove");
   std::unique_lock lock(indexes_mu_);
-  for (auto& idx : indexes_) idx->Remove(idx->KeyOf(record.row), pk);
+  for (auto& idx : indexes_) idx->Remove(idx->KeyOf(row), pk);
 }
+
+// Every write below moves the record it owns into the shard map. The images
+// the secondary indexes need are copied only when indexed_ — read under the
+// shard mutex — says an index exists; index maintenance itself runs after
+// the shard mutex is released.
 
 Status Table::Insert(Record record) {
   MORPH_FAILPOINT("storage.table.insert");
   MORPH_COUNTER_INC("storage.table.inserts");
-  const Row pk = schema_.KeyOf(record.row);
+  Row pk = schema_.KeyOf(record.row);
   Shard& shard = ShardFor(pk);
+  Row index_row;
   {
     std::unique_lock lock(shard.mu);
-    auto [it, inserted] = shard.map.emplace(pk, record);
+    const bool indexed = indexed_.load(std::memory_order_acquire);
+    // try_emplace leaves its arguments alone when the key exists, so `pk`
+    // is still there for the error message.
+    auto [it, inserted] =
+        indexed ? shard.map.try_emplace(pk, std::move(record))
+                : shard.map.try_emplace(std::move(pk), std::move(record));
     if (!inserted) {
       return Status::AlreadyExists("duplicate key " + pk.ToString() + " in " +
                                    name_);
     }
+    if (!indexed) return Status::OK();
+    index_row = it->second.row;
   }
-  IndexAdd(record, pk);
+  IndexAdd(index_row, pk);
   return Status::OK();
 }
 
@@ -62,7 +77,8 @@ Status Table::Update(const Row& key, Record record) {
                                    ")");
   }
   Shard& shard = ShardFor(key);
-  Record old_record;
+  Row new_row;
+  bool indexed = false;
   {
     std::unique_lock lock(shard.mu);
     auto it = shard.map.find(key);
@@ -70,11 +86,15 @@ Status Table::Update(const Row& key, Record record) {
       return Status::NotFound("no record with key " + key.ToString() + " in " +
                               name_);
     }
-    old_record = it->second;
-    it->second = record;
+    indexed = indexed_.load(std::memory_order_acquire);
+    if (indexed) new_row = record.row;
+    // `record` leaves holding the old image, freed outside the mutex.
+    std::swap(it->second, record);
   }
-  IndexRemove(old_record, key);
-  IndexAdd(record, key);
+  if (indexed) {
+    IndexRemove(record.row, key);
+    IndexAdd(new_row, key);
+  }
   return Status::OK();
 }
 
@@ -83,6 +103,7 @@ Status Table::Delete(const Row& key) {
   MORPH_COUNTER_INC("storage.table.deletes");
   Shard& shard = ShardFor(key);
   Record old_record;
+  bool indexed = false;
   {
     std::unique_lock lock(shard.mu);
     auto it = shard.map.find(key);
@@ -92,8 +113,9 @@ Status Table::Delete(const Row& key) {
     }
     old_record = std::move(it->second);
     shard.map.erase(it);
+    indexed = indexed_.load(std::memory_order_acquire);
   }
-  IndexRemove(old_record, key);
+  if (indexed) IndexRemove(old_record.row, key);
   return Status::OK();
 }
 
@@ -118,9 +140,9 @@ Status Table::Mutate(const Row& key, const std::function<bool(Record*)>& fn) {
   MORPH_FAILPOINT("storage.table.mutate");
   MORPH_COUNTER_INC("storage.table.mutates");
   Shard& shard = ShardFor(key);
-  Record old_record;
-  Record new_record;
-  bool changed = false;
+  Record tmp;  // declared before the lock: freed after it is released
+  Row new_row;
+  bool reindex = false;
   {
     std::unique_lock lock(shard.mu);
     auto it = shard.map.find(key);
@@ -128,20 +150,20 @@ Status Table::Mutate(const Row& key, const std::function<bool(Record*)>& fn) {
       return Status::NotFound("no record with key " + key.ToString() + " in " +
                               name_);
     }
-    old_record = it->second;
-    Record tmp = it->second;
-    if (fn(&tmp)) {
-      if (schema_.KeyOf(tmp.row) != key) {
-        return Status::InvalidArgument("Mutate may not change the primary key");
-      }
-      it->second = tmp;
-      new_record = std::move(tmp);
-      changed = true;
+    // A scratch copy: `fn` may edit it and still decline the change.
+    tmp = it->second;
+    if (!fn(&tmp)) return Status::OK();
+    if (schema_.KeyOf(tmp.row) != key) {
+      return Status::InvalidArgument("Mutate may not change the primary key");
     }
+    reindex = indexed_.load(std::memory_order_acquire) &&
+              tmp.row != it->second.row;
+    if (reindex) new_row = tmp.row;
+    std::swap(it->second, tmp);  // `tmp` now holds the old image
   }
-  if (changed && !(old_record.row == new_record.row)) {
-    IndexRemove(old_record, key);
-    IndexAdd(new_record, key);
+  if (reindex) {
+    IndexRemove(tmp.row, key);
+    IndexAdd(new_row, key);
   }
   return Status::OK();
 }
@@ -151,16 +173,18 @@ Status Table::Rmw(const Row& key,
   MORPH_FAILPOINT("storage.table.rmw");
   MORPH_COUNTER_INC("storage.table.rmws");
   Shard& shard = ShardFor(key);
-  Record old_record;
-  Record new_record;
-  bool had_old = false;
-  bool has_new = false;
+  Record tmp;  // the scratch, then the old image; freed outside the mutex
+  Row new_row;
+  bool drop_old = false;
+  bool add_new = false;
   {
     std::unique_lock lock(shard.mu);
     auto it = shard.map.find(key);
     const bool exists = it != shard.map.end();
-    Record tmp = exists ? it->second : Record{};
-    switch (fn(&tmp, exists)) {
+    if (exists) tmp = it->second;
+    const RmwAction action = fn(&tmp, exists);
+    const bool indexed = indexed_.load(std::memory_order_acquire);
+    switch (action) {
       case RmwAction::kKeep:
         return Status::OK();
       case RmwAction::kPut:
@@ -170,27 +194,25 @@ Status Table::Rmw(const Row& key,
               key.ToString());
         }
         if (exists) {
-          old_record = it->second;
-          had_old = true;
-          it->second = tmp;
+          drop_old = add_new = indexed && tmp.row != it->second.row;
+          if (add_new) new_row = tmp.row;
+          std::swap(it->second, tmp);
         } else {
-          shard.map.emplace(key, tmp);
+          add_new = indexed;
+          if (add_new) new_row = tmp.row;
+          shard.map.emplace(key, std::move(tmp));
         }
-        new_record = std::move(tmp);
-        has_new = true;
         break;
       case RmwAction::kErase:
         if (!exists) return Status::OK();
-        old_record = std::move(it->second);
-        had_old = true;
+        tmp = std::move(it->second);
         shard.map.erase(it);
+        drop_old = indexed;
         break;
     }
   }
-  // Index maintenance outside the shard mutex, matching Insert/Update/Delete.
-  if (had_old && has_new && old_record.row == new_record.row) return Status::OK();
-  if (had_old) IndexRemove(old_record, key);
-  if (has_new) IndexAdd(new_record, key);
+  if (drop_old) IndexRemove(tmp.row, key);
+  if (add_new) IndexAdd(new_row, key);
   return Status::OK();
 }
 
@@ -209,69 +231,90 @@ Result<Table::BatchStats> Table::ApplyBatch(std::vector<Record> records,
   if (records.empty()) return stats;
   MORPH_FAILPOINT("storage.table.insert_batch");
 
-  // Resolve within-batch duplicates up front so the shard pass stores at
-  // most one record per key: first occurrence wins (plain insert) or the
-  // highest-LSN occurrence wins (LSN-gated upsert) — matching what the
-  // per-record Insert / Insert+Mutate loops produced.
+  // Group by destination shard with one hash per key: a counting sort, so
+  // each shard's slice order[bounds[sh], bounds[sh + 1]) keeps batch order.
+  const size_t n = records.size();
   std::vector<Row> pks;
-  pks.reserve(records.size());
-  for (const Record& rec : records) pks.push_back(schema_.KeyOf(rec.row));
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  pks.reserve(n);
+  std::vector<size_t> shard_of(n);
+  std::vector<size_t> bounds(shards_.size() + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    pks.push_back(schema_.KeyOf(records[i].row));
+    shard_of[i] = pks[i].Hash() & shard_mask_;
+    bounds[shard_of[i] + 1]++;
+  }
+  for (size_t sh = 0; sh < shards_.size(); ++sh) bounds[sh + 1] += bounds[sh];
+  std::vector<size_t> order(n);
   {
-    std::unordered_map<Row, size_t, RowHasher> winner;
-    winner.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      auto [it, fresh] = winner.try_emplace(pks[i], i);
-      if (fresh) continue;
-      stats.skipped++;
-      if (lsn_upsert && records[it->second].lsn < records[i].lsn) {
-        it->second = i;
-      }
-    }
-    for (const auto& [pk, i] : winner) {
-      by_shard[pk.Hash() & shard_mask_].push_back(i);
-    }
+    std::vector<size_t> next(bounds.begin(), bounds.end() - 1);
+    for (size_t i = 0; i < n; ++i) order[next[shard_of[i]]++] = i;
   }
 
-  // One mutex acquisition per destination shard. Replaced old images are
-  // kept aside: their index entries must go, but never under a shard mutex
-  // (the lock-order rule every mutation path follows).
-  std::vector<size_t> added;       // records[] indices needing IndexAdd
-  std::vector<Record> replaced;    // old images needing IndexRemove
-  std::vector<size_t> replaced_i;  // parallel: records[] index of the winner
+  // Index work, collected only for shards that saw indexed_ set, and applied
+  // in collection order after every shard mutex is released (the lock-order
+  // rule every mutation path follows). An empty old_row marks a fresh key.
+  struct Reindex {
+    Row pk;
+    Row old_row;
+    Row new_row;
+  };
+  std::vector<Reindex> reindex;
+  // Upsert mode: the slots this batch has written in the current shard, so
+  // a later in-batch occurrence that displaces one counts as skipping the
+  // loser rather than replacing a stored record. Node addresses are stable
+  // across rehashes. Searched only on a replacement, which fresh targets
+  // never see.
+  std::vector<const Record*> written;
+
+  // One mutex acquisition per destination shard. In-batch duplicates
+  // resolve in batch order: the first occurrence is inserted and a later
+  // one replaces it only on a strictly higher LSN (upsert) — the same
+  // outcome as resolving the batch up front.
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    if (by_shard[sh].empty()) continue;
+    if (bounds[sh] == bounds[sh + 1]) continue;
     Shard& shard = shards_[sh];
     std::unique_lock lock(shard.mu);
-    for (size_t i : by_shard[sh]) {
-      auto [it, inserted] = shard.map.try_emplace(pks[i], records[i]);
+    const bool indexed = indexed_.load(std::memory_order_acquire);
+    written.clear();
+    for (size_t k = bounds[sh]; k < bounds[sh + 1]; ++k) {
+      const size_t i = order[k];
+      Record& rec = records[i];
+      auto [it, inserted] =
+          shard.map.try_emplace(std::move(pks[i]), std::move(rec));
       if (inserted) {
         stats.inserted++;
-        added.push_back(i);
-      } else if (lsn_upsert && it->second.lsn < records[i].lsn) {
-        replaced.push_back(std::move(it->second));
-        replaced_i.push_back(i);
-        it->second = records[i];
-        stats.replaced++;
-      } else {
+        if (indexed) reindex.push_back({it->first, Row(), it->second.row});
+        if (lsn_upsert) written.push_back(&it->second);
+      } else if (!lsn_upsert || it->second.lsn >= rec.lsn) {
         stats.skipped++;
+      } else {
+        const bool ours = std::find(written.begin(), written.end(),
+                                    &it->second) != written.end();
+        if (ours) {
+          stats.skipped++;
+        } else {
+          stats.replaced++;
+          written.push_back(&it->second);
+        }
+        // `rec` leaves holding the displaced image, freed outside the mutex.
+        std::swap(it->second, rec);
+        if (indexed) {
+          reindex.push_back({it->first, std::move(rec.row), it->second.row});
+        }
       }
     }
   }
   MORPH_COUNTER_ADD("storage.table.inserts",
                     static_cast<int64_t>(stats.inserted + stats.replaced));
 
-  // Index maintenance outside the shard mutexes, amortized to one
-  // indexes_mu_ acquisition for the whole batch.
-  if (!added.empty() || !replaced.empty()) {
+  // Index maintenance, amortized to one indexes_mu_ acquisition per batch.
+  if (!reindex.empty()) {
     std::unique_lock lock(indexes_mu_);
     for (auto& idx : indexes_) {
-      for (size_t k = 0; k < replaced.size(); ++k) {
-        const size_t i = replaced_i[k];
-        idx->Remove(idx->KeyOf(replaced[k].row), pks[i]);
-        idx->Add(idx->KeyOf(records[i].row), pks[i]);
+      for (const Reindex& r : reindex) {
+        if (!r.old_row.empty()) idx->Remove(idx->KeyOf(r.old_row), r.pk);
+        idx->Add(idx->KeyOf(r.new_row), r.pk);
       }
-      for (size_t i : added) idx->Add(idx->KeyOf(records[i].row), pks[i]);
     }
   }
   return stats;
@@ -314,6 +357,31 @@ void Table::ForEach(const std::function<void(const Record&)>& fn) const {
   }
 }
 
+void Table::Reserve(size_t n) {
+  // Keys spread evenly over the shards; the 1/8 margin absorbs the spread of
+  // a hash partition, and a shard that still overflows rehashes once.
+  const size_t per_shard = n / shards_.size();
+  const size_t target = per_shard + per_shard / 8;
+  for (Shard& shard : shards_) {
+    std::unique_lock lock(shard.mu);
+    // unordered_map::reserve may shrink an already larger bucket array, so
+    // reserve only when this shard is short of the target.
+    if (shard.map.bucket_count() * shard.map.max_load_factor() < target) {
+      shard.map.reserve(target);
+    }
+  }
+}
+
+size_t Table::capacity() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    std::unique_lock lock(shard.mu);
+    n += static_cast<size_t>(shard.map.bucket_count() *
+                             shard.map.max_load_factor());
+  }
+  return n;
+}
+
 size_t Table::size() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
@@ -328,6 +396,7 @@ Status Table::CreateIndex(const std::string& index_name,
   MORPH_ASSIGN_OR_RETURN(std::vector<size_t> cols,
                          schema_.IndicesOf(column_names));
   auto index = std::make_unique<SecondaryIndex>(index_name, std::move(cols));
+  SecondaryIndex* idx = index.get();
   {
     std::unique_lock lock(indexes_mu_);
     for (const auto& existing : indexes_) {
@@ -336,14 +405,21 @@ Status Table::CreateIndex(const std::string& index_name,
       }
     }
     indexes_.push_back(std::move(index));
+    indexed_.store(true, std::memory_order_release);
   }
-  // Backfill. New writers already see the index (it is in indexes_), so a
-  // record written during backfill may be added twice; SecondaryIndex::Add
-  // deduplicates (key, pk) pairs, making this idempotent.
-  SecondaryIndex* idx = GetIndex(index_name);
-  FuzzyScan([&](const Record& record) {
-    idx->Add(idx->KeyOf(record.row), schema_.KeyOf(record.row));
-  });
+  // Backfill each shard under its mutex. A writer that read indexed_ clear
+  // held this mutex earlier, so its record is here; one that runs later saw
+  // indexed_ set and maintains the index itself. Adding under the mutex also
+  // puts each backfilled entry before the IndexRemove of any later update of
+  // that key, so a racing update cannot leave its old image indexed.
+  // SecondaryIndex::Add deduplicates (key, pk) pairs, so a record indexed by
+  // both the writer and the backfill appears once.
+  for (const Shard& shard : shards_) {
+    std::unique_lock lock(shard.mu);
+    for (const auto& [pk, record] : shard.map) {
+      idx->Add(idx->KeyOf(record.row), pk);
+    }
+  }
   return Status::OK();
 }
 

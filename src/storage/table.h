@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -77,15 +78,18 @@ class Table {
   };
 
   /// \brief Bulk insert for the population pipeline: records are grouped by
-  /// destination shard so each shard mutex is taken once per batch, and all
-  /// secondary-index maintenance runs as one pass under one indexes_mu_
-  /// acquisition — versus one mutex pair per record on the Insert path.
+  /// destination shard (hashing each key once) so each shard mutex is taken
+  /// once per batch, and all secondary-index maintenance runs as one pass
+  /// under one indexes_mu_ acquisition — versus one mutex pair per record on
+  /// the Insert path. The batch is owned: each record and its key are moved
+  /// into the shard map, and an image is copied only when the table has a
+  /// secondary index to maintain.
   ///
-  /// Duplicate keys are *tolerated*, not errors: within the batch the first
-  /// occurrence wins, against stored records the stored one wins — exactly
-  /// what a loop of Insert calls ignoring AlreadyExists produces, which is
-  /// how the fuzzy population treats anomaly duplicates (the log converges
-  /// them later).
+  /// Duplicate keys are *tolerated*, not errors: each shard applies its
+  /// records in batch order, so within the batch the first occurrence wins,
+  /// and against stored records the stored one wins — exactly what a loop of
+  /// Insert calls ignoring AlreadyExists produces, which is how the fuzzy
+  /// population treats anomaly duplicates (the log converges them later).
   Result<BatchStats> InsertBatch(std::vector<Record> records);
 
   /// \brief Like InsertBatch, but an existing record is replaced when the
@@ -94,7 +98,9 @@ class Table {
   /// applies per record via Insert + Mutate. The gate is evaluated under the
   /// shard mutex, so concurrent batches converge on the max-LSN image in any
   /// arrival order; within one batch the highest-LSN occurrence of a key
-  /// wins.
+  /// wins (the earliest of equals). BatchStats count per key as if in-batch
+  /// duplicates were resolved first: every losing occurrence is `skipped`,
+  /// and `replaced` counts only stored records this batch displaced.
   Result<BatchStats> UpsertBatchLsnGated(std::vector<Record> records);
 
   /// \brief Replaces the record at `key` (the new row must have the same
@@ -164,6 +170,15 @@ class Table {
 
   size_t size() const;
 
+  /// \brief Presizes the table for `n` records in total, so a population
+  /// whose target size is known from its source inserts without rehashing.
+  /// The size is absolute and the call never shrinks a shard: repeating it
+  /// (one call per staggered tablet, say) is a no-op after the first.
+  void Reserve(size_t n);
+
+  /// \brief Records the shards can hold before any of them rehashes.
+  size_t capacity() const;
+
   /// \brief Creates a secondary index over `column_names` and backfills it
   /// from the current contents. Fails if an index with that name exists or a
   /// column is unknown.
@@ -204,8 +219,8 @@ class Table {
     return shards_[key.Hash() & shard_mask_];
   }
 
-  void IndexAdd(const Record& record, const Row& pk);
-  void IndexRemove(const Record& record, const Row& pk);
+  void IndexAdd(const Row& row, const Row& pk);
+  void IndexRemove(const Row& row, const Row& pk);
 
   /// Shared implementation of InsertBatch / UpsertBatchLsnGated.
   Result<BatchStats> ApplyBatch(std::vector<Record> records, bool lsn_upsert);
@@ -221,6 +236,12 @@ class Table {
 
   mutable std::mutex indexes_mu_;
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;
+  /// Set once the first secondary index exists. Writers read it under the
+  /// shard mutex of the key they write and copy the images the indexes
+  /// need only when it is set; CreateIndex sets it before backfilling each
+  /// shard under that shard's mutex. A write that read it clear is thereby
+  /// ordered before the backfill of its shard, which indexes it.
+  std::atomic<bool> indexed_{false};
 };
 
 }  // namespace morph::storage

@@ -1,5 +1,6 @@
 #include "transform/foj.h"
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <unordered_map>
@@ -108,6 +109,13 @@ Status FojRules::InitialPopulate() {
   // duplicates from fuzzy anomalies are tolerated — the log converges them.
   const PopulateConfig& config = populate_config();
   const size_t parts = std::max<size_t>(1, config.workers);
+  // Every R row and every S row appears in T at least once, and each source
+  // key is one distinct key of its T index.
+  const size_t r_rows = r_->size();
+  const size_t s_rows = s_->size();
+  t_->Reserve(std::max(r_rows, s_rows));
+  idx_rkey_->Reserve(r_rows);
+  idx_skey_->Reserve(s_rows);
 
   struct SPartition {
     std::vector<Row> rows;
@@ -132,7 +140,7 @@ Status FojRules::InitialPopulate() {
         std::vector<std::vector<Row>>& mine = buckets[w.index()];
         for (size_t sh = w.index(); sh < s_->num_shards();
              sh += w.partitions()) {
-          for (storage::Record& rec : s_->SnapshotShard(sh)) {
+          for (storage::Record& rec : ScanShard(*s_, sh)) {
             const Value& jv = rec.row[s_join_idx_];
             if (jv.is_null()) {
               storage::Record out;
@@ -182,7 +190,7 @@ Status FojRules::InitialPopulate() {
         const Row s_nulls = Row::Nulls(s_width_);
         for (size_t sh = w.index(); sh < r_->num_shards();
              sh += w.partitions()) {
-          for (const storage::Record& rec : r_->SnapshotShard(sh)) {
+          for (const storage::Record& rec : ScanShard(*r_, sh)) {
             const Row& r_row = rec.row;
             const Value& jv = r_row[r_join_idx_];
             bool matched_any = false;

@@ -38,7 +38,7 @@ Status HorizontalSplitRules::InitialPopulate() {
         const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
         for (size_t sh = config.shard_begin + w.index(); sh < hi;
              sh += w.partitions()) {
-          for (storage::Record& rec : t_src_->SnapshotShard(sh)) {
+          for (storage::Record& rec : ScanShard(*t_src_, sh)) {
             storage::Record copy;
             copy.row = std::move(rec.row);
             copy.lsn = rec.lsn;

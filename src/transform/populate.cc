@@ -9,6 +9,15 @@
 
 namespace morph::transform {
 
+std::vector<storage::Record> ScanShard(const storage::Table& table,
+                                       size_t shard_index) {
+  const auto t0 = Clock::Now();
+  std::vector<storage::Record> snapshot = table.SnapshotShard(shard_index);
+  MORPH_HISTOGRAM_NANOS("transform.populate.scan_nanos",
+                        Clock::NanosSince(t0));
+  return snapshot;
+}
+
 Status BatchSink::Flush() {
   if (batch_.empty()) return Status::OK();
   // One deterministic site per flush, on whatever thread drives the sink —

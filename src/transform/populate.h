@@ -48,6 +48,13 @@ struct PopulateConfig {
 
 class PopulateWorker;
 
+/// \brief One source shard's fuzzy snapshot (Table::SnapshotShard), timed
+/// into `transform.populate.scan_nanos` — one sample per scanned shard — so
+/// populate time splits into scan, operator and insert (`insert_nanos`)
+/// from the registry alone.
+std::vector<storage::Record> ScanShard(const storage::Table& table,
+                                       size_t shard_index);
+
 /// \brief Runs one pipeline phase: `body(worker)` once per worker.
 ///
 /// With config.workers == 0 the body runs inline on the calling thread

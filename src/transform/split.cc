@@ -131,49 +131,57 @@ Status SplitRules::InitialPopulate() {
   // split-key hash. No SAccum map is ever shared between threads — scanners
   // write only their own row, owners merge only their own column.
   std::vector<std::vector<AccumMap>> accums(parts, std::vector<AccumMap>(parts));
+  // R gets one record per T record. Absolute, so a staggered tablet's call
+  // after the first is a no-op.
+  r_->Reserve(t_src_->size());
 
   // Phase 1 — scan T: R records stream through the batch sink, the S side
-  // aggregates locally.
+  // aggregates locally. The bucket is found by a key projected straight
+  // from the T row, the stored image is compared with the row's S columns
+  // in place, and an S row is projected only when it becomes the image.
   MORPH_RETURN_NOT_OK(RunPopulatePhase(
       throttle_controller(), config, [&](PopulateWorker& w) -> Status {
         BatchSink r_sink(r_.get(), BatchSink::Mode::kInsert, &w);
         std::vector<AccumMap>& mine = accums[w.index()];
         const size_t hi = config.ClampedShardEnd(t_src_->num_shards());
+        // Presize the partials for one bucket per scanned row (the most
+        // there can be), so accumulation never rehashes.
+        const size_t scanned = hi > config.shard_begin ? hi - config.shard_begin : 0;
+        const size_t rows = t_src_->size() * scanned / t_src_->num_shards() /
+                            w.partitions();
+        for (AccumMap& partial : mine) partial.reserve(rows / parts);
         for (size_t sh = config.shard_begin + w.index(); sh < hi;
              sh += w.partitions()) {
-          for (const storage::Record& rec : t_src_->SnapshotShard(sh)) {
+          for (const storage::Record& rec : ScanShard(*t_src_, sh)) {
+            Row s_key = rec.row.Project(split_in_t_);
+            SAccum& acc = mine[s_key.Hash() % parts][std::move(s_key)];
+            acc.counter++;
+            if (acc.counter > 1 && acc.consistent &&
+                !SameSImage(acc.image, rec.row)) {
+              acc.consistent = false;
+            }
+            if (acc.counter == 1 || rec.lsn > acc.lsn) {
+              acc.image = rec.row.Project(s_cols_);
+              acc.lsn = rec.lsn;
+            }
             storage::Record r_rec;
             r_rec.row = rec.row.Project(r_cols_);
             r_rec.lsn = rec.lsn;
             MORPH_RETURN_NOT_OK(r_sink.Add(std::move(r_rec)));
-            Row s_row = rec.row.Project(s_cols_);
-            Row s_key = SplitKeyOfS(s_row);
-            SAccum& acc = mine[s_key.Hash() % parts][std::move(s_key)];
-            acc.counter++;
-            if (acc.counter == 1) {
-              acc.image = std::move(s_row);
-              acc.lsn = rec.lsn;
-            } else {
-              if (acc.image != s_row) acc.consistent = false;
-              if (rec.lsn > acc.lsn) {
-                acc.lsn = rec.lsn;
-                acc.image = std::move(s_row);
-              }
-            }
           }
         }
         return r_sink.Flush();
       }));
 
-  // Phase 2 — partition owners merge the scanners' partials and flush S
-  // through the batch sink, which (unlike the pre-pipeline flush loop) pays
-  // the duty cycle for the burst.
-  return RunPopulatePhase(
+  // Phase 2 — partition owner p merges the scanners' partials for p.
+  std::vector<AccumMap> merged(parts);
+  MORPH_RETURN_NOT_OK(RunPopulatePhase(
       throttle_controller(), config, [&](PopulateWorker& w) -> Status {
-        AccumMap merged = std::move(accums[0][w.index()]);
+        AccumMap& into_map = merged[w.index()];
+        into_map = std::move(accums[0][w.index()]);
         for (size_t scanner = 1; scanner < parts; ++scanner) {
           for (auto& [s_key, acc] : accums[scanner][w.index()]) {
-            auto [it, fresh] = merged.try_emplace(s_key, std::move(acc));
+            auto [it, fresh] = into_map.try_emplace(s_key, std::move(acc));
             if (fresh) continue;
             SAccum& into = it->second;
             into.counter += acc.counter;
@@ -187,6 +195,21 @@ Status SplitRules::InitialPopulate() {
             }
           }
         }
+        return Status::OK();
+      }));
+
+  // Phase 3 — partition owners store their merged buckets, through the
+  // batch sink (or Rmw), which pays the duty cycle for the burst.
+  if (!config.accumulate) {
+    // S gets one record per merged group. A staggered run folds into
+    // buckets earlier tablets stored, so its total is not known here.
+    size_t groups = 0;
+    for (const AccumMap& m : merged) groups += m.size();
+    s_->Reserve(groups);
+  }
+  return RunPopulatePhase(
+      throttle_controller(), config, [&](PopulateWorker& w) -> Status {
+        AccumMap& mine = merged[w.index()];
         if (config.accumulate) {
           // Staggered mode: earlier tablets' scans already stored partial
           // buckets, so this tablet's partials fold *into* them under the
@@ -196,7 +219,7 @@ Status SplitRules::InitialPopulate() {
           // and max-LSN images equal the whole-table scan's.
           using Action = storage::Table::RmwAction;
           size_t since_pay = 0;
-          for (auto& [s_key, acc] : merged) {
+          for (auto& [s_key, acc] : mine) {
             MORPH_RETURN_NOT_OK(s_->Rmw(s_key, [&](storage::Record* rec,
                                                    bool exists) {
               if (!exists) {
@@ -227,7 +250,7 @@ Status SplitRules::InitialPopulate() {
           return Status::OK();
         }
         BatchSink s_sink(s_.get(), BatchSink::Mode::kInsert, &w);
-        for (auto& [s_key, acc] : merged) {
+        for (auto& [s_key, acc] : mine) {
           storage::Record s_rec;
           s_rec.row = std::move(acc.image);
           s_rec.lsn = acc.lsn;
@@ -239,6 +262,13 @@ Status SplitRules::InitialPopulate() {
         }
         return s_sink.Flush();
       });
+}
+
+bool SplitRules::SameSImage(const Row& s_row, const Row& t_row) const {
+  for (size_t i = 0; i < s_cols_.size(); ++i) {
+    if (s_row[i] != t_row[s_cols_[i]]) return false;
+  }
+  return true;
 }
 
 // --- helpers -----------------------------------------------------------------

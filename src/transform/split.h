@@ -151,6 +151,9 @@ class SplitRules : public OperatorRules {
   /// The split-attribute value of an R row (bucket key into S).
   Row SplitKeyOfR(const Row& r_row) const;
   Row SplitKeyOfS(const Row& s_row) const { return s_row.Project(split_in_s_); }
+  /// True when `s_row` equals the projection of `t_row` onto S — compared
+  /// in place, without projecting.
+  bool SameSImage(const Row& s_row, const Row& t_row) const;
 
   /// Counter bump on S[key]; inserts `image` with counter 1 when absent
   /// (delta = +1). Deletes the record when the counter reaches 0.

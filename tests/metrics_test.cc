@@ -483,5 +483,74 @@ TEST(TabletObservabilityTest, WholeTableRunLeavesTabletInstrumentsAlone) {
             skipped_before);
 }
 
+// ---------------------------------------------------------------------------
+// Populate scan attribution: `transform.populate.scan_nanos` takes exactly
+// one sample per source-shard snapshot, on every population path, so
+// populate time splits into scan / operator / insert from the registry.
+// ---------------------------------------------------------------------------
+
+/// What one population run left in the registry and the target.
+struct ScanRun {
+  uint64_t scan_samples = 0;  ///< scan_nanos samples the run added
+  size_t num_shards = 0;      ///< shards of the source T
+  size_t r_rows = 0;          ///< records the run stored in R
+};
+
+/// Runs a split's initial population over a fresh 500-row T, once per
+/// config (a staggered run passes one config per tablet range).
+ScanRun RunSplitPopulate(const std::vector<transform::PopulateConfig>& configs) {
+  engine::Database db;
+  auto t = *db.CreateTable("t", morph::testing::TSplitSchema());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 500; ++i) {
+    rows.push_back(Row({i, 7000 + i % 9, "c" + std::to_string(i % 9), "b"}));
+  }
+  EXPECT_TRUE(db.BulkLoad(t.get(), rows).ok());
+  transform::SplitSpec spec;
+  spec.t_table = "t";
+  spec.r_columns = {"id", "zip", "body"};
+  spec.s_columns = {"zip", "city"};
+  spec.split_columns = {"zip"};
+  auto rules = std::move(transform::SplitRules::Make(&db, spec)).ValueOrDie();
+  EXPECT_TRUE(rules->Prepare().ok());
+  Histogram* scans =
+      Registry::Instance().GetHistogram("transform.populate.scan_nanos");
+  const uint64_t before = scans->count();
+  for (const transform::PopulateConfig& config : configs) {
+    rules->set_populate_config(config);
+    EXPECT_TRUE(rules->InitialPopulate().ok());
+  }
+  return {scans->count() - before, t->num_shards(), rules->r_table()->size()};
+}
+
+TEST(PopulateObservabilityTest, ScanNanosSamplesOncePerScannedShard) {
+  const ScanRun serial = RunSplitPopulate({transform::PopulateConfig{}});
+  EXPECT_EQ(serial.scan_samples, serial.num_shards);
+  EXPECT_EQ(serial.r_rows, 500u);
+
+  transform::PopulateConfig parallel;
+  parallel.workers = 3;
+  const ScanRun par = RunSplitPopulate({parallel});
+  EXPECT_EQ(par.scan_samples, par.num_shards);
+  EXPECT_EQ(par.r_rows, 500u);
+
+  // Staggered: four tablet ranges, each scanning only its own shards.
+  const size_t shards = serial.num_shards;
+  std::vector<transform::PopulateConfig> tablets(4);
+  for (size_t k = 0; k < tablets.size(); ++k) {
+    tablets[k].shard_begin = k * shards / tablets.size();
+    tablets[k].shard_end = (k + 1) * shards / tablets.size();
+    tablets[k].accumulate = true;
+  }
+  const ScanRun staggered = RunSplitPopulate(tablets);
+  EXPECT_EQ(staggered.scan_samples, shards);
+  EXPECT_EQ(staggered.r_rows, 500u);
+
+  // One tablet range alone samples just its own shards.
+  const ScanRun one = RunSplitPopulate({tablets[1]});
+  EXPECT_EQ(one.scan_samples, tablets[1].shard_end - tablets[1].shard_begin);
+  EXPECT_LT(one.r_rows, 500u);
+}
+
 }  // namespace
 }  // namespace morph

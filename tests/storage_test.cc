@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -413,6 +416,187 @@ TEST(TableBatchTest, UpsertBatchLsnGatedNewestWinsAndReindexes) {
   EXPECT_EQ(idx->Count(Row({"old"})), 0u);  // replaced image de-indexed
   EXPECT_EQ(idx->Count(Row({"new"})), 1u);
   EXPECT_EQ(idx->Count(Row({"newest"})), 1u);
+}
+
+/// Full record state (row, LSN, counter, flag), sorted, for exact comparison.
+std::vector<std::string> Dump(const Table& t) {
+  std::vector<std::string> out;
+  t.ForEach([&](const Record& rec) {
+    out.push_back(rec.row.ToString() + " lsn=" + std::to_string(rec.lsn) +
+                  " ctr=" + std::to_string(rec.counter) +
+                  (rec.consistent ? " C" : " U"));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The index holds exactly one entry per record, under that record's own
+/// index key — i.e. it equals an index rebuilt from the table's contents
+/// (Add deduplicates, so entries == size plus every record found means no
+/// stale or extra entry survives).
+void ExpectIndexMatchesContents(const Table& t, const std::string& name) {
+  SCOPED_TRACE("index " + name);
+  SecondaryIndex* idx = t.GetIndex(name);
+  ASSERT_NE(idx, nullptr);
+  EXPECT_EQ(idx->num_entries(), t.size());
+  t.ForEach([&](const Record& rec) {
+    const Row pk = t.schema().KeyOf(rec.row);
+    const std::vector<Row> hits = idx->Lookup(idx->KeyOf(rec.row));
+    EXPECT_NE(std::find(hits.begin(), hits.end(), pk), hits.end())
+        << rec.row.ToString() << " missing from " << name;
+  });
+}
+
+// The moved batch path copies images only for the indexes, so an indexed
+// and an unindexed table must end byte-identical with identical BatchStats.
+// The batch covers in-batch duplicates (first wins / newest LSN wins, in
+// both orders), LSN ties (against the store and within the batch), and
+// stored records that beat the batch.
+TEST(TableBatchTest, IndexedAndUnindexedBatchesAgree) {
+  for (const bool upsert : {false, true}) {
+    SCOPED_TRACE(upsert ? "UpsertBatchLsnGated" : "InsertBatch");
+    Table plain(1, "plain", TwoColSchema(), /*num_shards=*/4);
+    Table indexed(2, "indexed", TwoColSchema(), /*num_shards=*/4);
+    ASSERT_TRUE(indexed.CreateIndex("by_val", {"val"}).ok());
+    for (Table* t : {&plain, &indexed}) {
+      ASSERT_TRUE(t->Insert(Rec(1, "stored1", 5)).ok());
+      ASSERT_TRUE(t->Insert(Rec(2, "stored2", 9)).ok());
+      ASSERT_TRUE(t->Insert(Rec(3, "stored3", 4)).ok());
+    }
+    auto make_batch = [] {
+      return std::vector<Record>{
+          Rec(1, "newer1", 8),   // replaces stored1 (upsert)
+          Rec(1, "newest1", 12), // in-batch: displaces newer1 (upsert)
+          Rec(2, "older2", 3),   // stored2 wins
+          Rec(2, "tie2", 9),     // tie with the store: stored2 wins
+          Rec(3, "a3", 7),       // replaces stored3 (upsert)
+          Rec(3, "b3", 6),       // in-batch loser: lower LSN
+          Rec(4, "first4", 2),   // fresh key
+          Rec(4, "second4", 2),  // in-batch tie: first wins
+          Rec(5, "young5", 1),   // fresh key
+          Rec(5, "old5", 11),    // in-batch newer (upsert)
+          Rec(6, "only6", 3),    // fresh key
+      };
+    };
+    auto stats_plain = upsert ? plain.UpsertBatchLsnGated(make_batch())
+                              : plain.InsertBatch(make_batch());
+    auto stats_indexed = upsert ? indexed.UpsertBatchLsnGated(make_batch())
+                                : indexed.InsertBatch(make_batch());
+    ASSERT_TRUE(stats_plain.ok());
+    ASSERT_TRUE(stats_indexed.ok());
+    EXPECT_EQ(stats_plain->inserted, stats_indexed->inserted);
+    EXPECT_EQ(stats_plain->replaced, stats_indexed->replaced);
+    EXPECT_EQ(stats_plain->skipped, stats_indexed->skipped);
+    EXPECT_EQ(Dump(plain), Dump(indexed));
+    ExpectIndexMatchesContents(indexed, "by_val");
+
+    // Per key, as if duplicates were resolved before touching the store:
+    // keys 4, 5 and 6 are inserted; upsert replaces keys 1 and 3; every
+    // other occurrence is skipped.
+    EXPECT_EQ(stats_plain->inserted, 3u);
+    EXPECT_EQ(stats_plain->replaced, upsert ? 2u : 0u);
+    EXPECT_EQ(stats_plain->skipped, upsert ? 6u : 8u);
+    auto val = [&](int64_t id) { return plain.Get(Row({id}))->row[1]; };
+    auto lsn = [&](int64_t id) { return plain.Get(Row({id}))->lsn; };
+    EXPECT_EQ(val(1), Value(upsert ? "newest1" : "stored1"));
+    EXPECT_EQ(lsn(1), upsert ? 12u : 5u);
+    EXPECT_EQ(val(2), Value("stored2"));
+    EXPECT_EQ(val(3), Value(upsert ? "a3" : "stored3"));
+    EXPECT_EQ(val(4), Value("first4"));
+    EXPECT_EQ(val(5), Value(upsert ? "old5" : "young5"));
+    EXPECT_EQ(lsn(5), upsert ? 11u : 1u);
+    EXPECT_EQ(val(6), Value("only6"));
+  }
+}
+
+// CreateIndex backfills while batch, single-record insert and update
+// writers run. Writers read the index-presence flag under the shard mutex
+// and the backfill indexes each shard under that same mutex, so no write
+// can fall between the two: after the join every index must equal one
+// rebuilt from the table. Progress counters (not sleeps) place the index
+// creations inside the writers' run.
+TEST(TableBatchTest, CreateIndexRacesWriters) {
+  Table t(1, "t", TwoColSchema(), /*num_shards=*/8);
+  constexpr int64_t kKeys = 400;
+  for (int64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(t.Insert(Rec(i, "v" + std::to_string(i % 7))).ok());
+  }
+  constexpr int kRounds = 300;
+  std::atomic<int> progress{0};
+  std::thread batcher([&] {
+    // Keys [10000, ...): 8-record batches, each with one in-batch duplicate.
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<Record> batch;
+      for (int k = 0; k < 8; ++k) {
+        const int64_t id = 10000 + r * 8 + k;
+        batch.push_back(Rec(id, "b" + std::to_string(id % 5), 1));
+      }
+      batch.push_back(Rec(10000 + r * 8, "dup", 2));
+      ASSERT_TRUE(t.UpsertBatchLsnGated(std::move(batch)).ok());
+      progress.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread inserter([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      const int64_t id = 20000 + r;
+      ASSERT_TRUE(t.Insert(Rec(id, "i" + std::to_string(id % 3))).ok());
+      progress.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread updater([&] {
+    // Rewrites the preloaded keys so their index keys keep moving.
+    for (int r = 0; r < kRounds; ++r) {
+      for (int64_t i = r % 4; i < kKeys; i += 4) {
+        ASSERT_TRUE(
+            t.Update(Row({i}), Rec(i, "u" + std::to_string((i + r) % 6), r))
+                .ok());
+      }
+      progress.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const std::vector<std::string> names = {"i0", "i1", "i2"};
+  for (size_t k = 0; k < names.size(); ++k) {
+    const int due = static_cast<int>((k + 1) * kRounds * 3 / 4 / names.size());
+    while (progress.load(std::memory_order_relaxed) < due) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(t.CreateIndex(names[k], {"val"}).ok());
+  }
+  batcher.join();
+  inserter.join();
+  updater.join();
+  EXPECT_EQ(t.size(), static_cast<size_t>(kKeys + kRounds * 8 + kRounds));
+  for (const std::string& name : names) ExpectIndexMatchesContents(t, name);
+}
+
+TEST(TableBatchTest, ReservePreservesContentsAndIsIdempotent) {
+  Table t(1, "t", TwoColSchema(), /*num_shards=*/8);
+  ASSERT_TRUE(t.CreateIndex("by_val", {"val"}).ok());
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.Insert(Rec(i, "v" + std::to_string(i % 3), i)).ok());
+  }
+  const std::vector<std::string> before = Dump(t);
+  t.Reserve(20000);
+  const size_t reserved = t.capacity();
+  EXPECT_GE(reserved, 20000u);
+  EXPECT_EQ(Dump(t), before);
+  // Absolute and grow-only: repeating the call, or asking for less, keeps
+  // the bucket arrays as they are.
+  t.Reserve(20000);
+  EXPECT_EQ(t.capacity(), reserved);
+  t.Reserve(10);
+  EXPECT_EQ(t.capacity(), reserved);
+  EXPECT_EQ(Dump(t), before);
+  // Writes after the reservation behave as before it.
+  ASSERT_TRUE(t.Insert(Rec(500, "v0", 7)).ok());
+  EXPECT_TRUE(t.Insert(Rec(5, "dup")).IsAlreadyExists());
+  EXPECT_EQ(t.size(), 101u);
+  ExpectIndexMatchesContents(t, "by_val");
+
+  SecondaryIndex* idx = t.GetIndex("by_val");
+  idx->Reserve(5000);
+  EXPECT_EQ(idx->Count(Row({"v0"})), 35u);
+  EXPECT_EQ(idx->num_entries(), 101u);
 }
 
 TEST(TableSnapshotShardTest, ShardsAreDisjointAndCoverTable) {
