@@ -89,24 +89,6 @@ struct TransformConfig {
   bool continuous = false;
   /// How long a post-switch transaction waits for a mirrored source lock.
   int64_t target_lock_wait_micros = 2'000'000;
-  /// Sentinel for propagate_workers: adaptive worker scaling. The
-  /// propagator measures serial vs parallel records/sec on the live
-  /// workload and runs whichever wins, re-probing periodically
-  /// (transform/adaptive.h) — never slower than serial beyond a few
-  /// percent of probing, which is the safe default on unknown hosts.
-  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
-  /// Parallel log-propagation workers (see transform/propagator.h). 0 =
-  /// serial: the same pipeline code runs with one inline worker on the
-  /// coordinator thread. Ops are partitioned across workers by the
-  /// operator's RoutingKey, so any value preserves per-record LSN order.
-  /// kAutoWorkers = adaptive (see above).
-  size_t propagate_workers = 0;
-  /// Bounded per-worker queue capacity, in records. 0 = 2 * batch_size.
-  size_t propagate_queue_capacity = 0;
-  /// Reader→worker handoff mechanism: lock-free SPSC rings (the default)
-  /// or the original mutex-guarded deques (kept as the differential-test
-  /// reference and bench baseline).
-  PropagatorHandoff propagate_handoff = PropagatorHandoff::kRing;
   /// Parallel initial-population workers (see transform/populate.h). 0 =
   /// serial: the same pipeline code runs inline on the coordinator thread.
   /// Scan work is partitioned by storage shard and operator build state by
@@ -128,13 +110,12 @@ struct TransformConfig {
 
 /// \brief Per-run statistics returned by TransformCoordinator::Run().
 ///
-/// A *view over the pipeline's atomic instruments*: every counter here is a
-/// snapshot of the same relaxed atomics that feed the process-wide metrics
+/// A *view over the propagator's atomic instruments*: every counter here is
+/// a snapshot of the same relaxed atomics that feed the process-wide metrics
 /// registry (`transform.propagate.*` counters, `transform.backlog` /
 /// `transform.priority.*` gauges — see docs/ARCHITECTURE.md "Observability"),
-/// so the serial and parallel propagation paths report through one
-/// mechanism and the registry's process-cumulative counters can be
-/// reconciled against per-run stats by delta.
+/// so the registry's process-cumulative counters can be reconciled against
+/// per-run stats by delta.
 struct TransformStats {
   bool completed = false;
   /// Why the transformation aborted (empty when completed).
@@ -165,20 +146,6 @@ struct TransformStats {
   /// `transform.priority.achieved_ppm` gauge.
   double achieved_duty = 1.0;
 
-  /// Parallel-propagation shape: *resolved* worker count (what the pipeline
-  /// actually spawned — equals the configured value for fixed configs, the
-  /// chosen parallel width for kAutoWorkers) and per-worker ops applied
-  /// (entry 0 is the reader's inline worker — all ops when serial, barrier
-  /// ops when parallel — followed by one entry per queue worker).
-  size_t propagate_workers = 0;
-  std::vector<size_t> worker_ops;
-  /// Handoff mechanism the run used: "serial", "mutex" or "ring".
-  std::string propagate_handoff;
-  /// Adaptive mode (propagate_workers = kAutoWorkers): probe windows
-  /// completed and parallel→serial / serial→parallel switches decided.
-  size_t adaptive_probe_windows = 0;
-  size_t adaptive_collapses = 0;
-  size_t adaptive_expansions = 0;
   /// Log records processed per second of wall-clock propagation time.
   double propagate_records_per_sec = 0.0;
 
@@ -282,14 +249,12 @@ class TransformCoordinator : public engine::TransformHook {
   /// transformation). Log-archiving housekeeping must not truncate at or
   /// beyond the returned LSN. kInvalidLsn until propagation has started.
   ///
-  /// With parallel workers this is the min-across-workers watermark: the
-  /// reader's position capped by the lowest LSN still queued or in flight
-  /// on any worker, so Wal::TruncateBefore safety is preserved while ops
-  /// are buffered.
+  /// This is the propagation reader's position: the reader applies every
+  /// record before moving past it.
   Lsn propagated_lsn() const {
     const Lsn next = next_lsn_.load(std::memory_order_acquire);
     if (next == kInvalidLsn) return kInvalidLsn;
-    Lsn floor = std::min(next, propagator_->FloorLsn());
+    Lsn floor = next;
     if (stagger_ != nullptr && !stagger_->AllActivated()) {
       // A staggered run's global cursor races ahead of tablets that have
       // not been populated yet; their local catch-up passes re-read the log
@@ -321,12 +286,12 @@ class TransformCoordinator : public engine::TransformHook {
   void OnTxnFinished(TxnId txn, txn::TxnEpoch epoch) override;
 
  private:
-  /// Processes log records [from, to] through the propagation pipeline;
+  /// Processes log records [from, to] through the log propagator;
   /// returns the count processed. `throttled` applies the priority duty
   /// cycle between batches.
   Result<size_t> PropagateRange(Lsn from, Lsn to, bool throttled);
-  /// Copies pipeline counters (ops, per-worker shape, throughput) into
-  /// `stats` on every Run() exit path.
+  /// Copies propagation counters (ops, throughput, duty) into `stats` on
+  /// every Run() exit path.
   void FillPropagationStats(TransformStats* stats) const;
 
   /// The common synchronization core: latch sources exclusively, propagate
@@ -340,7 +305,7 @@ class TransformCoordinator : public engine::TransformHook {
   Result<TransformStats> RunStaggered(const Clock::TimePoint& run_start,
                                       TransformStats stats);
   /// One local pass for transform tablet `k`: processes [from, to] through
-  /// the pipeline applying only tablet k's data records, without moving the
+  /// the propagator applying only tablet k's data records, without moving the
   /// global cursor, then restores the global filter. `process_completions`
   /// is false for the latched sync pass (see
   /// LogPropagator::set_process_completions).
@@ -420,9 +385,7 @@ class TransformCoordinator : public engine::TransformHook {
   TableIdSet source_set_;
   TableIdSet target_set_;
 
-  /// The propagation pipeline. Declared last: its destructor joins the
-  /// worker threads, which touch rules_/tlocks_/priority_, so it must be
-  /// destroyed before any of them.
+  /// The log propagator (holds pointers to rules_/tlocks_/priority_).
   std::unique_ptr<LogPropagator> propagator_;
 };
 

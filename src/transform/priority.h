@@ -18,12 +18,6 @@ namespace morph::transform {
 /// propagator sleeps `w * (1 - p) / p` µs, giving it a fraction `p` of
 /// wall-clock time. Sleeps are capped so a priority change takes effect
 /// quickly.
-///
-/// With the parallel propagation pipeline, the duty cycle gates the *reader
-/// stage only* (the coordinator thread scanning and dispatching log
-/// batches): apply workers merely drain what the reader admits, so
-/// throttling the reader throttles the whole pipeline regardless of worker
-/// count.
 class PriorityController {
  public:
   explicit PriorityController(double priority = 1.0) { set_priority(priority); }
@@ -133,7 +127,7 @@ class PriorityController {
   /// the pipeline's reader stage (the coordinator thread) during
   /// propagation, or the populating thread during a serial initial scan.
   /// Parallel population workers each pay into their own WorkerThrottle
-  /// debt instead; propagation apply workers never call OnWorkDone.
+  /// debt instead.
   double sleep_debt_nanos_ = 0;
   std::atomic<int64_t> work_nanos_total_{0};
   std::atomic<int64_t> slept_nanos_total_{0};

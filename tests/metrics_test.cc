@@ -410,7 +410,6 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   CellOptions opts;
   opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
   opts.tablets = 4;
-  opts.workers = 0;
   const CellResult cell = RunCell(Operator::kMerge, opts);
   fps.Disable("transform.fuzzy.end");
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
@@ -466,7 +465,6 @@ TEST(TabletObservabilityTest, WholeTableRunLeavesTabletInstrumentsAlone) {
   CellOptions opts;
   opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
   opts.tablets = 1;
-  opts.workers = 0;
   const CellResult cell = RunCell(Operator::kVSplit, opts);
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
   ASSERT_EQ(cell.resolved_tablets, 1u);

@@ -1,13 +1,12 @@
 #pragma once
 
-// Shared machinery for the propagation differential suites
-// (propagator_parallel_test.cc, handoff_test.cc): a deterministic, seeded
-// op stream replayed against a fresh database per cell, with the
+// Shared machinery for the propagation suites (propagator_test.cc,
+// tablet_differential_test.cc, metrics_test.cc): a deterministic, seeded op
+// stream replayed against a fresh database per cell, with the
 // transformation held open (SetSyncHold) so propagation runs concurrently
-// with the writer. Cells differ only in propagation configuration — worker
-// count, handoff kind, adaptive mode — so the final transformed-table state
-// must be byte-identical across them, and the observability counters must
-// reconcile.
+// with the writer. Cells that differ only in tablet configuration must
+// produce byte-identical transformed tables, and every cell's
+// observability counters must reconcile with its TransformStats.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +25,6 @@
 #include "transform/foj.h"
 #include "transform/hsplit.h"
 #include "transform/merge.h"
-#include "transform/propagator.h"
 #include "transform/split.h"
 
 namespace morph::transform::testing {
@@ -68,27 +66,13 @@ struct CellResult {
   uint64_t registry_ops_delta = 0;
   uint64_t registry_records_delta = 0;
   size_t ops_propagated = 0;
-  /// Resolved propagation shape, straight from TransformStats.
-  size_t resolved_workers = 0;
   /// Resolved tablet count (1 when the operator/config clamped staggering).
   size_t resolved_tablets = 0;
-  std::string handoff;
-  size_t adaptive_probe_windows = 0;
-  size_t adaptive_collapses = 0;
-  size_t adaptive_expansions = 0;
 };
 
 struct CellOptions {
   SyncStrategy strategy = SyncStrategy::kNonBlockingAbort;
-  /// Worker count; TransformConfig::kAutoWorkers enables the adaptive
-  /// controller with the ring handoff.
-  size_t workers = 0;
-  PropagatorHandoff handoff = PropagatorHandoff::kRing;
   uint64_t seed = 1;
-  /// Parallel cells normally must show real queue-worker activity (guards
-  /// against silently degrading to serial). Auto cells may legitimately
-  /// collapse to serial, so the check is skipped for them.
-  bool expect_queue_work = true;
   /// Tablet count, applied both to the tables (DatabaseOptions) and the
   /// transformation (TransformConfig). 1 = whole-table path. Operators that
   /// don't support staggering clamp back to 1 — the differential still
@@ -106,8 +90,6 @@ struct CellOptions {
 inline TransformConfig CellConfig(const CellOptions& opts) {
   TransformConfig config;
   config.strategy = opts.strategy;
-  config.propagate_workers = opts.workers;
-  config.propagate_handoff = opts.handoff;
   config.drop_sources = false;
   config.max_duration_micros = 60'000'000;
   // The stream is produced while synchronization is held open, so the
@@ -220,7 +202,7 @@ inline void DriveStream(engine::Database* db, Operator op, storage::Table* a,
     } else if (!t->finished()) {
       (void)db->Abort(t);
     }
-    // Yield now and then so apply workers interleave with the writer even
+    // Yield now and then so the propagator interleaves with the writer even
     // on a single-core host.
     if (i % 16 == 0) std::this_thread::yield();
   }
@@ -338,9 +320,9 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   // Under non-blocking commit, leave one transaction open across the
   // switch-over: its source writes keep mirrored locks in the transform
   // lock table until its completion record is propagated during the drain,
-  // so the lock state *at* switch-over is observable and must match the
-  // serial cell. (The other strategies doom or wait out old transactions,
-  // leaving nothing deterministic to observe.)
+  // so the lock state *at* switch-over is observable. (The other strategies
+  // doom or wait out old transactions, leaving nothing deterministic to
+  // observe.)
   engine::TxnPtr straddler;
   if (opts.strategy == SyncStrategy::kNonBlockingCommit) {
     straddler = db.Begin();
@@ -387,12 +369,7 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   result.log_records = stats->log_records_processed;
   result.locks_at_end = coord.transform_locks()->num_locks();
   result.ops_propagated = stats->ops_propagated;
-  result.resolved_workers = stats->propagate_workers;
   result.resolved_tablets = stats->tablets;
-  result.handoff = stats->propagate_handoff;
-  result.adaptive_probe_windows = stats->adaptive_probe_windows;
-  result.adaptive_collapses = stats->adaptive_collapses;
-  result.adaptive_expansions = stats->adaptive_expansions;
   result.registry_ops_delta =
       registry.CounterValue("transform.propagate.ops") - ops_before;
   result.registry_records_delta =
@@ -401,18 +378,6 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   // registry: the cell's registry delta must equal the run's own counts.
   EXPECT_EQ(result.registry_ops_delta, stats->ops_propagated);
   EXPECT_EQ(result.registry_records_delta, stats->log_records_processed);
-  // Guard against the parallel cells silently degrading to serial: the
-  // queue workers (worker_ops[1..]) must have applied real work. Auto
-  // cells may legitimately collapse to serial, so callers opt out there.
-  if (stats->propagate_workers > 0 && opts.expect_queue_work) {
-    size_t queue_worker_ops = 0;
-    for (size_t w = 1; w < stats->worker_ops.size(); ++w) {
-      queue_worker_ops += stats->worker_ops[w];
-    }
-    EXPECT_EQ(stats->worker_ops.size(), stats->propagate_workers + 1);
-    EXPECT_GT(queue_worker_ops, 0u)
-        << OperatorName(op) << " workers=" << stats->propagate_workers;
-  }
   for (const auto& target : rules->Targets()) {
     const std::vector<Row> rows = morph::testing::SortedRows(*target);
     result.targets.insert(result.targets.end(), rows.begin(), rows.end());
