@@ -166,9 +166,10 @@ struct TransformStats {
 ///
 /// Run() executes the whole transformation on the calling thread; callers
 /// normally run it on a dedicated background thread while user transactions
-/// keep executing. RequestAbort() (honoured until switch-over) stops
-/// propagation and deletes the transformed tables, which is all an abort
-/// takes (§6).
+/// keep executing. It is one pipeline of phase functions shared by the
+/// whole-table and staggered schedules (see docs/ARCHITECTURE.md).
+/// RequestAbort() (honoured until switch-over) stops propagation and deletes
+/// the transformed tables, which is all an abort takes (§6).
 ///
 /// Client-cooperation contract: transactions doomed at switch-over learn
 /// about it through Status::Aborted returned from their next operation or
@@ -187,7 +188,8 @@ class TransformCoordinator : public engine::TransformHook {
 
   /// \brief Runs the transformation to completion (or abort). Returns the
   /// run's statistics; stats.completed / stats.abort_reason describe the
-  /// outcome. A non-OK Result means an internal error, not a clean abort.
+  /// outcome. Every failure, an injected failpoint error included, ends the
+  /// run through the same exit as an abort, so the Result itself is OK.
   Result<TransformStats> Run();
 
   /// \brief Asks the transformation to abort. Ignored after switch-over
@@ -286,40 +288,78 @@ class TransformCoordinator : public engine::TransformHook {
   void OnTxnFinished(TxnId txn, txn::TxnEpoch epoch) override;
 
  private:
-  /// Processes log records [from, to] through the log propagator;
-  /// returns the count processed. `throttled` applies the priority duty
-  /// cycle between batches.
-  Result<size_t> PropagateRange(Lsn from, Lsn to, bool throttled);
-  /// Copies propagation counters (ops, throughput, duty) into `stats` on
-  /// every Run() exit path.
-  void FillPropagationStats(TransformStats* stats) const;
+  class RunGuard;
+  /// Tablet argument meaning "every tablet": the whole-table latched pass,
+  /// or no tablet filter.
+  static constexpr size_t kAllTablets = static_cast<size_t>(-1);
 
-  /// The common synchronization core: latch sources exclusively, propagate
-  /// to the log end, flip the switch atomically w.r.t. gated operations.
+  // The phase pipeline Run() drives: prepare → populate → propagate → sync
+  // → drain/finalize. Each phase returns the failure that ends the run; its
+  // message is the run's abort reason.
+
+  /// §3.1: the operator's Prepare, table-id caches, strategy checks.
+  Status Prepare(TransformStats* stats);
+  /// §3.2 for the whole table: begin mark, population, end mark.
+  Status Populate(TransformStats* stats);
+  /// §3.2 staggered (stagger_ != nullptr): per tablet a begin mark, a
+  /// shard-scoped population, an end mark, a local catch-up pass and
+  /// activation, then a bounded global slice.
+  Status PopulateTablets(TransformStats* stats);
+  /// §3.3: propagation iterations until the backlog is ready for sync (or,
+  /// in continuous mode, RequestFinish), with the priority-scaled iteration
+  /// cap, lag handling, pause, sync hold and the duration/iteration
+  /// backstops. Shared by both schedules.
+  Status PropagateUntilReady(TransformStats* stats);
+  /// §3.4: the continuous final pass, the whole-table switch or the
+  /// per-tablet switches.
+  Status Synchronize(TransformStats* stats);
+  /// Whole-table switch: blocking-commit gate wait, then one latched pass.
   Status SynchronizeAndSwitch(TransformStats* stats);
-  /// Steps 2–4 of a staggered run (stagger_ != nullptr): one per-tablet
-  /// sub-transform sequence — fuzzy scan, scoped populate, local catch-up,
-  /// activation — then global convergence, per-tablet latched sync, and the
-  /// shared drain/finalize epilogue. Called from Run() with the WAL
-  /// retention pin already registered.
-  Result<TransformStats> RunStaggered(const Clock::TimePoint& run_start,
-                                      TransformStats stats);
-  /// One local pass for transform tablet `k`: processes [from, to] through
-  /// the propagator applying only tablet k's data records, without moving the
-  /// global cursor, then restores the global filter. `process_completions`
-  /// is false for the latched sync pass (see
-  /// LogPropagator::set_process_completions).
-  Result<size_t> PropagateTabletPass(size_t k, Lsn from, Lsn to,
-                                     bool process_completions, bool throttled);
-  /// Post-switch tail shared by both paths: drain, finalize, drop sources,
-  /// clear the hook, mark completed.
-  Result<TransformStats> FinishAndComplete(const Clock::TimePoint& run_start,
-                                           TransformStats stats);
-  /// Post-switch drain: keep propagating until every pre-switch transaction
-  /// has finished and the propagator has caught up.
+  /// Staggered switch: unlatched convergence, then one latched pass per
+  /// tablet.
+  Status SynchronizeTablets(TransformStats* stats);
+  /// Post-switch: drain pre-switch transactions, finalize the targets, drop
+  /// the sources.
+  Status DrainAndFinalize(TransformStats* stats);
+  /// Keeps propagating until every pre-switch transaction has finished and
+  /// the propagator has caught up.
   Status Drain(TransformStats* stats);
-  /// Aborts the transformation: stop, drop targets, unregister.
-  void AbortTransformation(const std::string& reason, TransformStats* stats);
+  /// The single exit of Run(): completes on OK; on failure drops the targets
+  /// only before the point of no return (switched_, or a staggered run's
+  /// first migrated tablet) and otherwise leaves the live targets in place.
+  /// Fills the per-run stats either way.
+  TransformStats Finish(TransformStats stats, const Status& status);
+  /// Publishes `next` and emits one `transform.phase` trace (a = `next`,
+  /// b = microseconds spent in the phase left): the one place phases change.
+  void EnterPhase(Phase next);
+
+  // Steps shared by the phases.
+
+  /// Fails on RequestAbort() and (outside continuous mode) on the duration
+  /// backstop.
+  Status CheckRunnable() const;
+  /// Logs a begin-fuzzy mark; returns the propagation start it fixes.
+  Lsn BeginFuzzyMark();
+  /// Logs an end-of-fuzzy-read mark.
+  void EndFuzzyMark(int64_t populate_micros);
+  /// Runs the operator's population over `scope` (workers filled in),
+  /// adding its wall time to stats->populate_micros.
+  Status PopulateScope(PopulateConfig scope, TransformStats* stats);
+  /// Propagates from the global cursor towards the log tail, at most `cap`
+  /// records. `throttled` applies the priority duty cycle and honours
+  /// RequestAbort() before the switch.
+  Status CatchUp(bool throttled, TransformStats* stats,
+                 size_t cap = static_cast<size_t>(-1));
+  /// Latches tablet `k` (kAllTablets: every tablet) of every source in id
+  /// order, propagates to the log tail and — unless continuous — advances
+  /// the epoch, counts the doomed transactions and switches (the whole
+  /// table, or migrates tablet k). Records the latch hold.
+  Status LatchedPass(size_t k, TransformStats* stats);
+  /// Active transactions older than `before` holding a source lock (on
+  /// tablet `tablet`'s keys, unless kAllTablets).
+  size_t CountSourceLockHolders(txn::TxnEpoch before, size_t tablet) const;
+  /// Lifts the blocking-commit gate and wakes the parked transactions.
+  void OpenGate();
 
   bool IsSourceTable(TableId id) const;
   bool IsTargetTable(TableId id) const;
@@ -336,7 +376,11 @@ class TransformCoordinator : public engine::TransformHook {
   std::atomic<bool> sync_hold_{false};
   std::atomic<bool> paused_{false};
   std::atomic<bool> finish_requested_{false};
+  /// Set by RunGuard while this coordinator is the engine's hook.
   std::atomic<bool> hook_registered_{false};
+  /// Coordinator-thread only: when Run() and the current phase started.
+  Clock::TimePoint run_start_;
+  Clock::TimePoint phase_start_;
 
   /// Next log record the propagation reader will read. Written only by the
   /// coordinator thread (via LogPropagator::PropagateRange); read
@@ -344,7 +388,7 @@ class TransformCoordinator : public engine::TransformHook {
   /// propagated_lsn()).
   std::atomic<Lsn> next_lsn_{kInvalidLsn};
 
-  /// Floor backing the WAL retention pin Run() registers: the oldest log
+  /// Floor backing the WAL retention pin RunGuard registers: the oldest log
   /// record this transformation may still need. Starts at the log's first
   /// retained LSN (conservative — propagation start is not known yet),
   /// advances to start_lsn once the fuzzy mark fixes it, and is superseded

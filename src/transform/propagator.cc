@@ -66,7 +66,7 @@ Status LogPropagator::ProcessRecord(const wal::LogRecord& rec) {
       // "Source table locks held in the transformed tables are released as
       // soon as the propagator has processed the [completion] log record of
       // the lock owner transaction" (§3.4).
-      if (process_completions_) tlocks_->ReleaseTxn(rec.txn_id);
+      tlocks_->ReleaseTxn(rec.txn_id);
       return Status::OK();
     case wal::LogRecordType::kCcBegin:
     case wal::LogRecordType::kCcOk:

@@ -75,16 +75,6 @@ class LogPropagator {
     record_filter_ = std::move(filter);
   }
 
-  /// \brief When false, kCommit/kTxnEnd records are ignored instead of
-  /// releasing the transaction's mirrored locks. A staggered tablet's
-  /// latched sync pass runs with completions off: it re-reads a window the
-  /// global stream will read again, and releasing a transaction there would
-  /// drop locks covering its not-yet-applied ops on *other* tablets.
-  /// Reader-thread only, default true.
-  void set_process_completions(bool process) {
-    process_completions_ = process;
-  }
-
   /// \brief Processes log records [from, to]; returns the count processed.
   /// On return every processed op has been applied and every processed
   /// completion has released its locks. `next_lsn` is kept at the reader's
@@ -116,10 +106,9 @@ class LogPropagator {
   TableIdSet sources_;
   TableId primary_source_ = 0;  ///< LockOrigin::kSource0
 
-  /// Staggered-tablet record filter (null = pass everything) and the
-  /// completion-processing toggle. Reader-thread only.
+  /// Staggered-tablet record filter (null = pass everything). Reader-thread
+  /// only.
   std::function<bool(const wal::LogRecord&)> record_filter_;
-  bool process_completions_ = true;
 
   std::atomic<size_t> ops_applied_{0};
 };

@@ -410,6 +410,7 @@ TEST(TabletObservabilityTest, StaggeredRunExportsPerTabletInstruments) {
   CellOptions opts;
   opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
   opts.tablets = 4;
+  opts.stream_after_all_marks = false;
   const CellResult cell = RunCell(Operator::kMerge, opts);
   fps.Disable("transform.fuzzy.end");
   ASSERT_TRUE(cell.completed) << cell.abort_reason;
@@ -479,6 +480,45 @@ TEST(TabletObservabilityTest, WholeTableRunLeavesTabletInstrumentsAlone) {
             latches_before);
   EXPECT_EQ(registry.CounterValue("transform.tablet.ops_skipped"),
             skipped_before);
+}
+
+// ---------------------------------------------------------------------------
+// Phase transitions: the coordinator changes phase in one place, which emits
+// one `transform.phase` trace per transition (a = the phase entered, b = the
+// microseconds spent in the phase left). Both schedules walk the same
+// pipeline, so both must trace the same sequence.
+// ---------------------------------------------------------------------------
+
+std::vector<int64_t> TracedPhases(size_t tablets) {
+  transform::testing::CellOptions opts;
+  opts.strategy = transform::SyncStrategy::kNonBlockingAbort;
+  opts.tablets = tablets;
+  opts.drive_stream = false;
+  trace::Traces::Instance().ClearAll();
+  const transform::testing::CellResult cell =
+      transform::testing::RunCell(transform::testing::Operator::kVSplit, opts);
+  EXPECT_TRUE(cell.completed) << cell.abort_reason;
+  EXPECT_EQ(cell.resolved_tablets, tablets);
+  std::vector<int64_t> phases;
+  for (const auto& e : trace::Traces::Instance().SnapshotAll()) {
+    if (std::string_view(e.name) != "transform.phase") continue;
+    EXPECT_GE(e.b, 0) << "phase " << e.a;
+    phases.push_back(e.a);
+  }
+  return phases;
+}
+
+TEST(PhaseTraceTest, WholeTableAndStaggeredRunsTraceEveryTransitionOnce) {
+  using Phase = transform::TransformCoordinator::Phase;
+  const std::vector<int64_t> expected = {
+      static_cast<int64_t>(Phase::kPreparing),
+      static_cast<int64_t>(Phase::kPopulating),
+      static_cast<int64_t>(Phase::kPropagating),
+      static_cast<int64_t>(Phase::kSynchronizing),
+      static_cast<int64_t>(Phase::kDraining),
+      static_cast<int64_t>(Phase::kCompleted)};
+  EXPECT_EQ(TracedPhases(1), expected) << "whole-table run";
+  EXPECT_EQ(TracedPhases(4), expected) << "staggered run";
 }
 
 // ---------------------------------------------------------------------------

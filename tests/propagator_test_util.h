@@ -85,6 +85,13 @@ struct CellOptions {
   /// transformation sees only the bulk-loaded data, making the full record
   /// dumps (LSNs included) comparable across cells.
   bool drive_stream = true;
+  /// true: the stream starts once every begin-fuzzy mark is in the log, so
+  /// every stream record is propagated (none lands in a populate scan) and
+  /// per-op counts compare exactly across cells. false: a staggered cell's
+  /// stream starts after the first tablet's mark and overlaps the tablets
+  /// still pending — their records are skipped by the global cursor and
+  /// covered by the tablet's own scan or catch-up pass.
+  bool stream_after_all_marks = true;
 };
 
 inline TransformConfig CellConfig(const CellOptions& opts) {
@@ -303,17 +310,25 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
   coord.SetSyncHold(opts.drive_stream);
   auto run = std::async(std::launch::async, [&] { return coord.Run(); });
   if (opts.drive_stream) {
-    // Don't start the stream until the fuzzy mark is fixed (phase past
-    // kPreparing): otherwise the mark's position relative to the stream is a
-    // scheduling race, and on a single-core host the cells would propagate
-    // randomly-sized suffixes of the stream — the cross-cell count
-    // comparison would flake. With the mark pinned first, every cell
-    // propagates the whole stream and the stream still overlaps the
-    // populate and propagation phases, which is the concurrency under test.
-    while (coord.phase() == TransformCoordinator::Phase::kIdle ||
-           coord.phase() == TransformCoordinator::Phase::kPreparing) {
-      std::this_thread::yield();
-    }
+    // Don't start the stream until the begin-fuzzy marks are logged: the
+    // coordinator publishes kPopulating right after the (first) mark, and a
+    // staggered run has logged every tablet's mark once all its tablets are
+    // active. Otherwise the marks' positions relative to the stream are a
+    // scheduling race, and the cells would propagate randomly-sized
+    // suffixes of the stream — the cross-cell count comparison would flake.
+    // With the marks pinned first, every cell propagates the whole stream.
+    const auto marks_logged = [&] {
+      const auto phase = coord.phase();
+      if (phase == TransformCoordinator::Phase::kIdle ||
+          phase == TransformCoordinator::Phase::kPreparing) {
+        return false;
+      }
+      const TabletTransformManager* tablets = coord.tablet_manager();
+      return !opts.stream_after_all_marks || tablets == nullptr ||
+             tablets->AllActivated() ||
+             phase == TransformCoordinator::Phase::kAborted;
+    };
+    while (!marks_logged()) std::this_thread::yield();
     DriveStream(&db, op, a.get(), b.get(), opts.seed);
   }
 
@@ -403,15 +418,6 @@ inline CellResult RunCell(Operator op, const CellOptions& opts) {
     std::sort(result.s_counters.begin(), result.s_counters.end());
   }
   return result;
-}
-
-/// Cross-cell count tolerance: the seeded WAL streams match except for a
-/// handful of timing-dependent abort/no-op records, so totals get a small
-/// jitter allowance — still tight enough to catch a path that
-/// double-counts or drops a batch.
-inline bool NearCount(uint64_t x, uint64_t y) {
-  const uint64_t hi = std::max(x, y);
-  return hi - std::min(x, y) <= hi / 10 + 8;
 }
 
 }  // namespace morph::transform::testing

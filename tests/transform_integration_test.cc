@@ -457,6 +457,10 @@ TEST(TransformAbortTest, LaggingPropagatorAborts) {
   EXPECT_FALSE(stats->completed);
   EXPECT_NE(stats->abort_reason.find("keep up"), std::string::npos)
       << stats->abort_reason;
+  // An aborted run reports its wall time like a completed one.
+  EXPECT_GT(stats->total_micros, 0);
+  EXPECT_GE(stats->total_micros,
+            stats->prepare_micros + stats->populate_micros);
 }
 
 TEST(TransformLagTest, BoostPriorityRecoversAndCompletes) {
